@@ -13,10 +13,16 @@
 //! | [`filter`] | the Filter lock (Peterson generalisation) | shared multi-writer `victim[]` |
 //! | [`szymanski`] | Szymanski's FCFS algorithm | "much more complicated than Bakery++", 2 more shared values per process |
 //! | [`black_white`] | Taubenfeld's Black-White Bakery | bounded via an extra shared colour bit (approach 2) |
-//! | [`modulo_bakery`] | Jayanti et al. style bounded Bakery | bounded via modulo arithmetic, redefining `<` and `maximum` (approach 1) |
 //! | [`dijkstra`] | Dijkstra's 1965 algorithm | the original solution, not FCFS, all processes write `k` |
 //! | [`ticket_lock`] | fetch-and-add ticket lock | "not a true mutual exclusion algorithm": relies on atomic RMW |
 //! | [`spin`] | TAS / TTAS spin locks | ditto |
+//!
+//! The paper's approach 1 — a bounded Bakery on modular tickets with
+//! redefined `<` and `maximum` — has no baseline here.  The earlier
+//! `modulo-bakery` compared tickets by forward distance `≤ ring / 2`, so two
+//! live tickets exactly half a ring apart each preceded the other and both
+//! processes waited forever; concurrent doorways do produce such pairs.
+//! [`black_white`] is the suite's bounded-bakery baseline.
 //!
 //! All locks follow the conventions of `bakery-core`: process slots, RAII
 //! guards, SeqCst protocol accesses, [`LockStats`] counters and a
@@ -30,7 +36,6 @@
 pub mod black_white;
 pub mod dijkstra;
 pub mod filter;
-pub mod modulo_bakery;
 pub mod peterson;
 pub mod registry;
 pub mod spin;
@@ -41,7 +46,6 @@ pub mod tournament;
 pub use black_white::BlackWhiteBakeryLock;
 pub use dijkstra::DijkstraLock;
 pub use filter::FilterLock;
-pub use modulo_bakery::ModuloBakeryLock;
 pub use peterson::PetersonLock;
 pub use registry::{all_algorithms, AlgorithmId, LockFactory};
 pub use spin::{TasLock, TtasLock};

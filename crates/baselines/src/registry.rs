@@ -1,6 +1,6 @@
 //! A uniform registry of every lock in the suite.
 //!
-//! The experiment harness and the Criterion benches iterate over "all
+//! The experiment harness and the bench-json binary iterate over "all
 //! algorithms" dozens of times; this module centralises the list so adding a
 //! new algorithm automatically enrols it in every experiment.
 //!
@@ -14,14 +14,13 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bakery_core::registers::OverflowPolicy;
 use bakery_core::{
     AdaptiveBakery, BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, ScanMode, TreeBakery,
 };
 
 use crate::{
-    BlackWhiteBakeryLock, DijkstraLock, FilterLock, ModuloBakeryLock, PetersonLock, SzymanskiLock,
-    TasLock, TicketLock, TournamentLock, TtasLock,
+    BlackWhiteBakeryLock, DijkstraLock, FilterLock, PetersonLock, SzymanskiLock, TasLock,
+    TicketLock, TournamentLock, TtasLock,
 };
 
 /// Identifier for each algorithm in the suite (a key into the registry
@@ -34,7 +33,6 @@ pub enum AlgorithmId {
     TreeBakery,
     AdaptiveBakery,
     BlackWhiteBakery,
-    ModuloBakery,
     Peterson,
     PetersonTournament,
     Filter,
@@ -99,12 +97,7 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
             } else {
                 bakery_core::DEFAULT_BOUND
             };
-            Arc::new(BakeryLock::with_config(
-                n,
-                bound,
-                OverflowPolicy::Wrap,
-                factory.scan_mode,
-            ))
+            Arc::new(BakeryLock::with_config(n, bound, factory.scan_mode))
         },
     },
     AlgorithmEntry {
@@ -165,15 +158,6 @@ pub static ALGORITHMS: &[AlgorithmEntry] = &[
         bounded: true,
         exact_n: None,
         build: |_, n| Arc::new(BlackWhiteBakeryLock::new(n)),
-    },
-    AlgorithmEntry {
-        id: AlgorithmId::ModuloBakery,
-        name: "modulo-bakery",
-        true_mutex: true,
-        fcfs: true,
-        bounded: true,
-        exact_n: None,
-        build: |_, n| Arc::new(ModuloBakeryLock::new(n)),
     },
     AlgorithmEntry {
         id: AlgorithmId::Peterson,
@@ -253,13 +237,12 @@ impl AlgorithmId {
     /// All identifiers, in report order (the table's order).
     #[must_use]
     pub fn all() -> &'static [AlgorithmId] {
-        const ALL: [AlgorithmId; 14] = [
+        const ALL: [AlgorithmId; 13] = [
             AlgorithmId::Bakery,
             AlgorithmId::BakeryPlusPlus,
             AlgorithmId::TreeBakery,
             AlgorithmId::AdaptiveBakery,
             AlgorithmId::BlackWhiteBakery,
-            AlgorithmId::ModuloBakery,
             AlgorithmId::Peterson,
             AlgorithmId::PetersonTournament,
             AlgorithmId::Filter,

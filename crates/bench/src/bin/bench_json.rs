@@ -35,7 +35,6 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use bakery_core::registers::OverflowPolicy;
 use bakery_core::{
     BakeryLock, BakeryPlusPlusLock, RawMutexAlgorithm, ScanMode, TreeBakery, DEFAULT_PP_BOUND,
 };
@@ -422,12 +421,7 @@ fn bakery_pair(n: usize, bound: u64, mode: ScanMode) -> Vec<(String, Arc<dyn Raw
     vec![
         (
             "bakery".to_string(),
-            Arc::new(BakeryLock::with_config(
-                n,
-                bakery_core::DEFAULT_BOUND,
-                OverflowPolicy::Wrap,
-                mode,
-            )),
+            Arc::new(BakeryLock::with_config(n, bakery_core::DEFAULT_BOUND, mode)),
         ),
         (
             "bakery++".to_string(),

@@ -112,7 +112,7 @@
 
 use std::sync::Arc;
 
-use crate::bakery_pp::BakeryPlusPlusLock;
+use crate::bakery::BakeryPlusPlusLock;
 use crate::raw::RawMutexAlgorithm;
 use crate::slots::SlotAllocator;
 use crate::snapshot::ScanMode;
@@ -367,7 +367,7 @@ impl AdaptiveBakery {
         Self {
             flat: BakeryPlusPlusLock::with_bound_mode_and_strategy(
                 n,
-                crate::bakery_pp::DEFAULT_PP_BOUND,
+                crate::bakery::DEFAULT_PP_BOUND,
                 mode,
                 Arc::clone(&strategy),
             ),

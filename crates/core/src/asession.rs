@@ -209,7 +209,7 @@ impl<'a> Future for SessionLockFuture<'a> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::bakery_pp::BakeryPlusPlusLock;
+    use crate::bakery::BakeryPlusPlusLock;
     use crate::raw::RawMutexAlgorithm;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::task::{Wake, Waker};

@@ -12,12 +12,14 @@
 //!   enforces with [`Slot`] ownership tokens;
 //! * registers are **bounded**: a register created with bound `M` can never
 //!   hold a value above `M`, and any attempt to store a larger value is an
-//!   *overflow* which is either reported, saturated, wrapped or turned into a
-//!   panic depending on the configured [`OverflowPolicy`];
-//! * the classic [`BakeryLock`](bakery::BakeryLock) exhibits exactly the
-//!   failure mode the paper's Section 3 describes once its registers are
-//!   bounded, while [`BakeryPlusPlusLock`](bakery_pp::BakeryPlusPlusLock)
-//!   provably never attempts to store a value above its bound.
+//!   *overflow* which is either wrapped or turned into a panic depending on
+//!   the register's [`OverflowPolicy`];
+//! * both algorithms are one flat lock, [`FlatBakery`], whose const
+//!   parameter selects the ticket policy: the classic [`BakeryLock`] exhibits
+//!   exactly the failure mode the paper's Section 3 describes once its
+//!   registers are bounded, while [`BakeryPlusPlusLock`] adds the paper's
+//!   two guarded statements and provably never attempts to store a value
+//!   above its bound.
 //!
 //! ## Quick start
 //!
@@ -48,8 +50,7 @@
 //! | [`slots`] | process slot allocation (which thread plays which process id) |
 //! | [`raw`] | the object-safe [`RawMutexAlgorithm`] trait every lock implements |
 //! | [`guard`] | RAII critical-section guards |
-//! | [`bakery`] | Lamport's original Bakery algorithm (Algorithm 1 of the paper) |
-//! | [`bakery_pp`] | Bakery++ (Algorithm 2 of the paper) |
+//! | [`bakery`] | [`FlatBakery`]: Lamport's Bakery (Algorithm 1) and Bakery++ (Algorithm 2) behind one ticket policy |
 //! | [`tree`] | tournament-of-bounded-bakeries: the K-ary [`TreeBakery`] composite |
 //! | [`session`] | dynamic membership: pid-slot leasing with RAII [`Session`]s |
 //! | [`asession`] | async session clients: cancellation-safe `attach().await` / `lock().await` |
@@ -89,7 +90,7 @@
 //! by the paper's Theorem applied node-locally, so the composite never
 //! overflows either.  The composition is verified by the `bakery-spec::tree`
 //! state machine (model checked in `bakery-mc`), the differential conformance
-//! suite (`tests/conformance.rs`) and the loom interleaving tests.
+//! suite (`tests/conformance.rs`) and the loom stress legs.
 //!
 //! ## Memory ordering
 //!
@@ -103,8 +104,9 @@
 //! store→load orderings the correctness argument needs (the Dekker-style
 //! handshakes; cf. van Glabbeek, Luttik & Spronck, *Just Verification of
 //! Mutual Exclusion Algorithms*, on how little of SC the Bakery proof
-//! actually uses).  The choice is exercised by the loom tests in
-//! `crates/core/tests/loom.rs` and the `ablation`/`bench-json` benchmarks.
+//! actually uses).  The choice is stress-tested by the loom legs in
+//! `crates/core/tests/loom.rs` (the vendored loom is a stress shim) and
+//! measured by the `bench-json` binary.
 //! The abstract, paper-level semantics (including safe-register reads that
 //! may return arbitrary values) are model checked by the companion
 //! `bakery-spec` / `bakery-mc` crates.
@@ -117,7 +119,6 @@ pub mod adaptive;
 pub mod asession;
 pub mod backoff;
 pub mod bakery;
-pub mod bakery_pp;
 pub mod guard;
 pub mod raw;
 pub mod registers;
@@ -131,8 +132,7 @@ pub mod tree;
 pub mod wait;
 
 pub use adaptive::AdaptiveBakery;
-pub use bakery::BakeryLock;
-pub use bakery_pp::{BakeryPlusPlusLock, DEFAULT_PP_BOUND};
+pub use bakery::{BakeryLock, BakeryPlusPlusLock, FlatBakery, DEFAULT_PP_BOUND};
 pub use guard::CriticalSectionGuard;
 pub use raw::{DoorwayOutcome, LockError, RawMutexAlgorithm};
 
@@ -150,8 +150,7 @@ pub use wait::{Park, SiteKind, Spin, WaitHandle, WaitSite, WaitStrategy, WaitTok
 
 /// Convenience prelude importing the traits and the two headline locks.
 pub mod prelude {
-    pub use crate::bakery::BakeryLock;
-    pub use crate::bakery_pp::BakeryPlusPlusLock;
+    pub use crate::bakery::{BakeryLock, BakeryPlusPlusLock};
     pub use crate::raw::{RawMutexAlgorithm};
     pub use crate::registers::OverflowPolicy;
     pub use crate::slots::Slot;

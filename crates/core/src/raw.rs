@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn try_lock_and_default_try_acquire() {
-        use crate::bakery_pp::BakeryPlusPlusLock;
+        use crate::bakery::BakeryPlusPlusLock;
         let lock = BakeryPlusPlusLock::with_bound(2, 100);
         let slot = lock.register().unwrap();
         {
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different lock instance")]
     fn try_lock_rejects_foreign_slot() {
-        use crate::bakery_pp::BakeryPlusPlusLock;
+        use crate::bakery::BakeryPlusPlusLock;
         let a = BakeryPlusPlusLock::with_bound(2, 100);
         let b = BakeryPlusPlusLock::with_bound(2, 100);
         let slot = a.register().unwrap();

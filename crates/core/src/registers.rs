@@ -5,7 +5,7 @@
 //! [`BoundedRegister`] makes that machine limit explicit: every store goes
 //! through a bound check, and what happens on overflow is decided by an
 //! [`OverflowPolicy`].  The classic Bakery lock uses the policy to *emulate*
-//! what a real machine would do (wrap or saturate), which is exactly how the
+//! what a real machine would do (wrap around), which is exactly how the
 //! Section 3 failure scenario is reproduced; Bakery++ never triggers the
 //! policy at all, which experiment **E1/E2** verify.
 //!
@@ -34,14 +34,9 @@ pub enum OverflowPolicy {
     /// is violated (experiment **E1**).
     #[default]
     Wrap,
-    /// Clamp the stored value to `M`.
-    Saturate,
-    /// Panic immediately.  Useful in tests that assert overflow freedom.
+    /// Panic immediately: Bakery++ registers (an overflow there would be a
+    /// bug) and the boolean `choosing` registers.
     Panic,
-    /// Store `value mod (M + 1)` but keep counting the events; identical to
-    /// [`OverflowPolicy::Wrap`] at the register level, separated so reports
-    /// can distinguish "we knew and accepted" from "silent wrap".
-    Report,
 }
 
 impl OverflowPolicy {
@@ -52,14 +47,13 @@ impl OverflowPolicy {
     pub fn resolve(self, value: u64, bound: u64) -> u64 {
         debug_assert!(value > bound);
         match self {
-            OverflowPolicy::Wrap | OverflowPolicy::Report => {
+            OverflowPolicy::Wrap => {
                 if bound == u64::MAX {
                     value
                 } else {
                     value % (bound + 1)
                 }
             }
-            OverflowPolicy::Saturate => bound,
             OverflowPolicy::Panic => panic!(
                 "register overflow: attempted to store {value} in a register bounded by {bound}"
             ),
@@ -71,9 +65,7 @@ impl fmt::Display for OverflowPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             OverflowPolicy::Wrap => "wrap",
-            OverflowPolicy::Saturate => "saturate",
             OverflowPolicy::Panic => "panic",
-            OverflowPolicy::Report => "report",
         };
         f.write_str(name)
     }
@@ -374,12 +366,6 @@ mod tests {
     fn policy_wrap_matches_machine_arithmetic() {
         assert_eq!(OverflowPolicy::Wrap.resolve(256, 255), 0);
         assert_eq!(OverflowPolicy::Wrap.resolve(257, 255), 1);
-        assert_eq!(OverflowPolicy::Report.resolve(300, 255), 44);
-    }
-
-    #[test]
-    fn policy_saturate_clamps() {
-        assert_eq!(OverflowPolicy::Saturate.resolve(1000, 255), 255);
     }
 
     #[test]
@@ -391,9 +377,7 @@ mod tests {
     #[test]
     fn policy_display_names() {
         assert_eq!(OverflowPolicy::Wrap.to_string(), "wrap");
-        assert_eq!(OverflowPolicy::Saturate.to_string(), "saturate");
         assert_eq!(OverflowPolicy::Panic.to_string(), "panic");
-        assert_eq!(OverflowPolicy::Report.to_string(), "report");
     }
 
     #[test]
@@ -425,7 +409,7 @@ mod tests {
 
     #[test]
     fn reset_returns_to_zero() {
-        let r = BoundedRegister::new(10, OverflowPolicy::Saturate);
+        let r = BoundedRegister::new(10, OverflowPolicy::Wrap);
         r.write(0, 7);
         r.reset();
         assert_eq!(r.read(), 0);
@@ -547,27 +531,15 @@ mod tests {
     }
 
     proptest! {
-        /// Regardless of the (non-panicking) policy, the stored value never
-        /// exceeds the bound: the register is genuinely bounded hardware.
-        #[test]
-        fn stored_value_never_exceeds_bound(
-            bound in 1u64..1000,
-            value in 0u64..100_000,
-            policy_idx in 0usize..3,
-        ) {
-            let policy = [OverflowPolicy::Wrap, OverflowPolicy::Saturate, OverflowPolicy::Report][policy_idx];
-            let r = BoundedRegister::new(bound, policy);
-            let _ = r.write(0, value);
-            prop_assert!(r.read() <= bound);
-        }
-
         /// Wrap really is modulo arithmetic, i.e. what an (M+1)-state machine
-        /// register would hold.
+        /// register would hold — so the stored value never exceeds the bound:
+        /// the register is genuinely bounded hardware.
         #[test]
         fn wrap_is_modulo(bound in 1u64..1_000, value in 0u64..1_000_000) {
             let r = BoundedRegister::new(bound, OverflowPolicy::Wrap);
             let _ = r.write(0, value);
             prop_assert_eq!(r.read(), value % (bound + 1));
+            prop_assert!(r.read() <= bound);
         }
 
         /// After an arbitrary interleaved sequence of register writes, the
@@ -610,13 +582,11 @@ mod tests {
         #[test]
         fn mirror_clamps_before_update_on_exact_boundary_bounds(
             bound_idx in 0usize..5,
-            policy_idx in 0usize..3,
             pid in 0usize..40,
             overshoot in 1u64..4,
         ) {
             let bound = [254u64, 255, 256, 65_535, 65_536][bound_idx];
-            let policy =
-                [OverflowPolicy::Wrap, OverflowPolicy::Saturate, OverflowPolicy::Report][policy_idx];
+            let policy = OverflowPolicy::Wrap;
             // 40 slots force narrow lanes at the u8/u16 boundaries, so the
             // doorway's transient `bound + overshoot` would corrupt the
             // neighbouring lanes of the shared word if it ever reached the

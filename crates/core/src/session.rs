@@ -908,7 +908,7 @@ impl Drop for RecoveredSeat<'_> {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::bakery_pp::BakeryPlusPlusLock;
+    use crate::bakery::BakeryPlusPlusLock;
     use crate::tree::TreeBakery;
     use proptest::prelude::*;
     use std::collections::HashSet;

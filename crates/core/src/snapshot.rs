@@ -28,7 +28,7 @@
 //! Memory ordering: lane/bit updates are `Release` RMWs and reads are
 //! `Acquire` loads.  The store–load orderings the Bakery proof needs on top
 //! of that (doorway handshakes) are provided by explicit `SeqCst` fences in
-//! `bakery.rs` / `bakery_pp.rs`, next to the protocol steps they order.
+//! `bakery.rs`, next to the protocol steps they order.
 
 use crate::sync::{AtomicU64, Ordering};
 

@@ -1,10 +1,12 @@
 //! Facade over the atomic primitives used by the locks.
 //!
 //! In normal builds this re-exports `std::sync::atomic`.  When the crate is
-//! compiled with `RUSTFLAGS="--cfg loom"` the [loom](https://docs.rs/loom)
-//! model checker's instrumented atomics are used instead, so the real lock
-//! implementations can be exhaustively checked for small thread counts under
-//! the C11 memory model (see `crates/core/tests` and DESIGN.md §2).
+//! compiled with `RUSTFLAGS="--cfg loom"` the atomics come from the vendored
+//! `loom` crate instead.  That crate is a stress shim, not the upstream
+//! model checker (see `vendor/README.md`): it re-runs each model closure on
+//! real threads, so the `crates/core/tests/loom.rs` legs stress-test the
+//! real lock implementations but do not enumerate C11 interleavings.  With
+//! upstream loom substituted, the same facade would give exhaustive checks.
 
 #[cfg(loom)]
 pub use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};

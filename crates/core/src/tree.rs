@@ -50,7 +50,7 @@
 
 use std::sync::Arc;
 
-use crate::bakery_pp::BakeryPlusPlusLock;
+use crate::bakery::BakeryPlusPlusLock;
 use crate::raw::{RawMutexAlgorithm};
 use crate::slots::SlotAllocator;
 use crate::snapshot::ScanMode;

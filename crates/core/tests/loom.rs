@@ -55,10 +55,8 @@ fn loom_bakery_pp_two_threads() {
 
 #[test]
 fn loom_bakery_padded_baseline_two_threads() {
-    use bakery_core::{registers::OverflowPolicy, ScanMode};
-    check_two_thread_mutex(|| {
-        BakeryLock::with_config(2, u64::MAX, OverflowPolicy::Wrap, ScanMode::Padded)
-    });
+    use bakery_core::ScanMode;
+    check_two_thread_mutex(|| BakeryLock::with_config(2, u64::MAX, ScanMode::Padded));
 }
 
 /// Smoke test of the relaxed-ordering fast path: with both threads racing,
@@ -436,12 +434,11 @@ fn loom_park_notify_drains_every_waiter() {
 #[test]
 fn loom_bakery_park_strategy_two_threads_timeout_free() {
     use bakery_core::wait::Park;
-    use bakery_core::{registers::OverflowPolicy, ScanMode};
+    use bakery_core::ScanMode;
     check_two_thread_mutex(|| {
         BakeryLock::with_config_and_strategy(
             2,
             u64::MAX,
-            OverflowPolicy::Wrap,
             ScanMode::Packed,
             Arc::new(Park::with_timeout(None)),
         )

@@ -7,6 +7,11 @@
 //! (experiments **E2**, **E3**, **E5**) and sampled at scale by the
 //! `bakery-sim` simulator (experiments **E1**, **E4**, **E6**, **E8**).
 //!
+//! Bakery and Bakery++ are one step machine, [`FlatBakerySpec`]: its const
+//! parameter adds Bakery++'s `L1` admission scan and pre-increment bound
+//! check to the classic doorway, and [`BakerySpec`] / [`BakeryPlusPlusSpec`]
+//! name the two instances.
+//!
 //! ## Atomicity granularity and register semantics
 //!
 //! Each specification step performs **at most one shared-register access**,
@@ -38,14 +43,12 @@
 
 pub mod adaptive;
 pub mod bakery;
-pub mod bakery_pp;
 pub mod peterson;
 pub mod ticket;
 pub mod tree;
 
 pub use adaptive::AdaptiveHandoffSpec;
-pub use bakery::BakerySpec;
-pub use bakery_pp::BakeryPlusPlusSpec;
+pub use bakery::{BakeryPlusPlusSpec, BakerySpec, FlatBakerySpec};
 pub use peterson::PetersonSpec;
 pub use ticket::TicketSpec;
 pub use tree::TreeBakerySpec;
@@ -54,9 +57,10 @@ pub use bakery_sim::RegisterSemantics;
 
 /// Program-counter labels shared by the Bakery-family specifications.
 ///
-/// Keeping the numbering identical between [`BakerySpec`] and
-/// [`BakeryPlusPlusSpec`] makes refinement comparisons and trace reading
-/// straightforward: Bakery simply never occupies the Bakery++-only labels.
+/// [`BakerySpec`] and [`BakeryPlusPlusSpec`] are one [`FlatBakerySpec`]
+/// sharing this numbering, which makes refinement comparisons and trace
+/// reading straightforward: Bakery simply never occupies the Bakery++-only
+/// labels.
 pub mod pc {
     /// Noncritical section.
     pub const NCS: u32 = 0;
@@ -123,16 +127,15 @@ pub(crate) mod layout {
 
     /// The register layout shared by Bakery and Bakery++: `choosing[0..n]`
     /// followed by `number[0..n]`.
-    pub fn registers(n: usize, bound: u64, sentinel: bool) -> Vec<RegisterSpec> {
+    pub fn registers(n: usize, bound: u64) -> Vec<RegisterSpec> {
         let mut regs = Vec::with_capacity(2 * n);
         for pid in 0..n {
             regs.push(RegisterSpec::owned(format!("choosing[{pid}]"), 1, pid));
         }
         for pid in 0..n {
-            // The declared bound is M; the classic Bakery may physically hold
-            // the sentinel M+1 which is exactly the overflow the invariant
-            // reports.  The spec's own bound field stays M in both cases.
-            let _ = sentinel;
+            // The declared bound is M for both algorithms; the classic Bakery
+            // may physically hold the sentinel M+1, which is exactly the
+            // overflow the NoOverflow invariant reports.
             regs.push(RegisterSpec::owned(format!("number[{pid}]"), bound, pid));
         }
         regs
